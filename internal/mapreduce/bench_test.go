@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"testing"
@@ -76,7 +75,8 @@ func shuffleHeavyJob() *Job[int, int, int64, int64] {
 	}
 }
 
-func benchShuffle(b *testing.B, mk func() (Transport, error), tr Tracer, rows int) {
+func benchShuffle(b *testing.B, tr Tracer) {
+	const rows = 4000
 	splits := make([][]int, 16)
 	for s := range splits {
 		split := make([]int, rows)
@@ -86,9 +86,6 @@ func benchShuffle(b *testing.B, mk func() (Transport, error), tr Tracer, rows in
 		splits[s] = split
 	}
 	cluster := &Cluster{Slaves: 4, SlotsPerSlave: 2, Cost: ZeroCostModel(), Tracer: tr}
-	if mk != nil {
-		cluster.NewTransport = mk
-	}
 	job := shuffleHeavyJob()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -106,31 +103,12 @@ func benchShuffle(b *testing.B, mk func() (Transport, error), tr Tracer, rows in
 
 // BenchmarkShuffle measures the in-memory shuffle: per-reducer grouping and
 // approximate byte accounting over 16 tasks × 4000 records × 997 keys.
-func BenchmarkShuffle(b *testing.B) { benchShuffle(b, nil, nil, 4000) }
+func BenchmarkShuffle(b *testing.B) { benchShuffle(b, nil) }
 
 // BenchmarkShuffleTraced is BenchmarkShuffle with a JSON-lines tracer
 // enabled, bounding the span-assembly overhead on a shuffle-heavy job.
 func BenchmarkShuffleTraced(b *testing.B) {
-	benchShuffle(b, nil, NewJSONLTracer(io.Discard), 4000)
-}
-
-// BenchmarkShuffleTransport measures the serialized shuffle path: encode,
-// Send/Receive through an in-process transport, decode, group — on the
-// binary wire codec by default, on gob under STRATA_WIRE=gob.
-func BenchmarkShuffleTransport(b *testing.B) {
-	benchShuffle(b, func() (Transport, error) { return NewMemTransport(), nil }, nil, 4000)
-}
-
-// BenchmarkShuffleVolume scales the serialized shuffle's record volume to
-// show how codec allocations grow with bytes moved — the allocs/op column is
-// the budget the wire codec is held to (flat per record vs gob's per-value
-// decoding; A/B with STRATA_WIRE=gob).
-func BenchmarkShuffleVolume(b *testing.B) {
-	for _, rows := range []int{4000, 16000} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchShuffle(b, func() (Transport, error) { return NewMemTransport(), nil }, nil, rows)
-		})
-	}
+	benchShuffle(b, NewJSONLTracer(io.Discard))
 }
 
 // BenchmarkEngine runs a counting job over synthetic splits, measuring

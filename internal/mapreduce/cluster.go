@@ -19,18 +19,6 @@ type Cluster struct {
 	// Faults, when non-nil, injects task failures and stragglers into the
 	// virtual clock (deterministic re-execution; see FaultModel).
 	Faults *FaultModel
-	// NewTransport, when non-nil, supplies a fresh shuffle Transport for
-	// every job run; the shuffle then travels serialized (and, for
-	// TCPTransport, over a real network stack) and ShuffleBytes report
-	// wire bytes. Keys and values must be gob-encodable. The engine closes
-	// the transport when the job finishes.
-	NewTransport func() (Transport, error)
-	// ShuffleRetry bounds re-attempts of a shuffle Receive that timed out
-	// with a *ReceiveTimeoutError, instead of failing the job on the first
-	// expiry. The zero value applies the default policy (2 retries, 50ms
-	// linear backoff); MaxRetries < 0 restores fail-on-first-timeout.
-	// Retries performed are counted in Metrics.ShuffleRetries.
-	ShuffleRetry ShuffleRetryPolicy
 	// MaxParallelism caps the real goroutine parallelism used to execute
 	// tasks, independent of the simulated slot count. 0 means "as many as
 	// slots"; negative values are a configuration error.
@@ -54,8 +42,7 @@ type Cluster struct {
 	// TraceContext, when non-nil and combined with an enabled Tracer,
 	// threads a cross-process trace identity through the run: every span
 	// is stamped with Trace/Run/ID/Parent, TaskSpecs shipped to remote
-	// workers carry the context (wire version ≥ 2; old peers simply run
-	// untraced), and each remote attempt decomposes into
+	// workers carry the context, and each remote attempt decomposes into
 	// queue/wire/decode/exec/push/recv child spans. Nil keeps the PR 2
 	// span stream byte-for-byte unchanged.
 	TraceContext *TraceContext

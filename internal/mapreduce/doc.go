@@ -5,11 +5,11 @@
 //
 // # Execution model
 //
-// Map tasks run on a bounded worker pool. The shuffle is pipelined: as soon
-// as a map task finishes, its per-reducer buckets are encoded and handed to
-// the cluster's Transport (or kept in memory), overlapping the remaining map
-// work; reducers then receive, decode and group their buckets in parallel,
-// one unit per reducer. Combiners draw their intermediate reservoir samples
+// Map tasks run on a bounded worker pool, each leaving its per-reducer
+// buckets in memory; reducers then gather and group their buckets in
+// parallel, one unit per reducer. On a remote executor the buckets travel
+// encoded — through the coordinator, or worker-to-worker under a direct
+// shuffle plan — and the reduce attempts decode them. Combiners draw their intermediate reservoir samples
 // with Algorithm L (geometric skips), so a full-split scan costs
 // O(k(1+log(n/k))) RNG draws instead of one per tuple. Output is
 // byte-identical to a serial shuffle.

@@ -123,13 +123,12 @@ func (m *Metrics) mergeCustom(custom map[string]*Histogram) {
 
 // Run executes the job over the input splits on the cluster. Each split is
 // one map task. The error is non-nil only for configuration problems or
-// transport failures; user code panics propagate.
+// remote-executor failures; user code panics propagate.
 //
-// Concurrency model: map tasks run on a bounded worker pool and — when a
-// Transport is installed — each task encodes and sends its shuffle buckets
-// as soon as it finishes mapping, so sends overlap the remaining map work
-// (pipelined shuffle). The per-reducer receive, decode and group step then
-// runs on the same pool, one unit per reducer, as does the reduce phase.
+// Concurrency model: map tasks run on a bounded worker pool, each leaving
+// its per-reducer buckets in memory. The per-reducer gather and group step
+// then runs on the same pool, one unit per reducer, as does the reduce
+// phase.
 // Output is byte-identical to a serial shuffle: bucket concatenation is in
 // map-task order, reduce order is canonical key order, and every map task
 // and reduce key has a private deterministically-seeded random source.
@@ -181,16 +180,6 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	met.MapTasks = len(splits)
 	met.ReduceTasks = numReducers
 
-	var transport Transport
-	if c.NewTransport != nil {
-		var err error
-		transport, err = c.NewTransport()
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-		defer transport.Close()
-	}
-
 	// A remote executor (subprocess or TCP workers) takes over task
 	// execution when the job is portable; the engine keeps all scheduling,
 	// fault accounting and span emission so the observable behavior matches
@@ -199,7 +188,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	// reconstruct.
 	if exec := c.remoteExecutor(); exec != nil {
 		if job.Maker != "" {
-			return runRemote(c, job, splits, numReducers, exec, transport, tr, &met, now, start)
+			return runRemote(c, job, splits, numReducers, exec, tr, &met, now, start)
 		}
 		nonPortableFallbacks.Add(1)
 		slog.Warn("mapreduce: job is not portable, running in-process",
@@ -207,7 +196,7 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 			"fallbacks_total", nonPortableFallbacks.Load())
 	}
 
-	// ---- Map phase (with per-task combine and pipelined shuffle sends) ----
+	// ---- Map phase (with per-task combine) ----
 	// All counters are accumulated per task and folded into Metrics once
 	// after the phase: nothing touches shared counters per record.
 	type mapCounters struct {
@@ -220,7 +209,6 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 	}
 	perTask := make([][][]Pair[K, V], len(splits)) // [task][reducer]
 	taskCounts := make([]mapCounters, len(splits))
-	taskErrs := make([]error, len(splits))
 
 	runParallel(len(splits), c.workers(), func(task int) {
 		cnt := &taskCounts[task]
@@ -236,42 +224,18 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		cnt.combineIn, cnt.combineOut = run.combineIn, run.combineOut
 		cnt.custom = run.custom
 		cnt.mapDone, cnt.combineDone = run.mapDone, run.combineDone
-		// Pipelined shuffle: this task's buckets leave the map worker as
-		// soon as they exist, overlapping the remaining map tasks. Without
-		// a transport the buckets stay in memory and only their approximate
-		// wire size is accounted, one bucket at a time.
-		if transport != nil {
-			for r := range run.buckets {
-				payload, err := encodeBucket(run.buckets[r])
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				n, err := transport.Send(task, r, payload)
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				cnt.shuffleBytes += int64(n)
-				cnt.bucketBytes.Observe(int64(n))
-			}
-		} else {
-			for r := range run.buckets {
-				n := bucketApproxSize(run.buckets[r])
-				cnt.shuffleBytes += n
-				cnt.bucketBytes.Observe(n)
-			}
+		// The buckets stay in memory; only their approximate wire size is
+		// accounted, one bucket at a time.
+		for r := range run.buckets {
+			n := bucketApproxSize(run.buckets[r])
+			cnt.shuffleBytes += n
+			cnt.bucketBytes.Observe(n)
 		}
 		if tr != nil {
 			cnt.sendDone = elapsed()
 		}
 		perTask[task] = run.buckets
 	})
-	for _, err := range taskErrs {
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-	}
 
 	mapDurations := make([]time.Duration, len(splits))
 	for t := range taskCounts {
@@ -333,18 +297,14 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 			"simulated", met.SimulatedMap, "wall", elapsed())
 	}
 
-	// ---- Shuffle: parallel per-reducer receive, decode and group ----
+	// ---- Shuffle: parallel per-reducer gather and group ----
 	// For each reducer, concatenate task buckets in task order, then group
 	// by key. Value order within a key is (task index, emission order):
 	// deterministic, so the parallel grouping is byte-identical to a serial
-	// one. With a Transport installed, buckets travel serialized (and, for
-	// TCPTransport, over real sockets) and ShuffleBytes are wire bytes;
-	// otherwise they are estimated from the in-memory pairs.
+	// one. ShuffleBytes are estimated from the in-memory pairs.
 	reducerGroups := make([]*keyGroups[K, V], numReducers)
 	reducerNames := make([][]string, numReducers)
 	shuffleRecs := make([]int64, numReducers)
-	shuffleRetries := make([]int64, numReducers)
-	reducerErrs := make([]error, numReducers)
 	var recvStart, recvDur []time.Duration
 	var recvBytes []int64
 	if tr != nil {
@@ -357,35 +317,11 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 		if tr != nil {
 			recvStart[r] = elapsed()
 		}
-		var parts [][]Pair[K, V] // task-ordered bucket list for this reducer
-		if transport != nil {
-			payloads, retries, err := receiveRetrying(transport, r, len(splits), c.ShuffleRetry, nil)
-			shuffleRetries[r] = retries
-			if err != nil {
-				reducerErrs[r] = fmt.Errorf("reducer %d: %w", r, err)
-				return
-			}
-			parts = make([][]Pair[K, V], 0, len(payloads))
-			for task, payload := range payloads {
-				pairs, err := decodeBucket[K, V](payload)
-				if err != nil {
-					// Name the originating map task: payloads arrive in
-					// map-task order, so the slice index is the task id.
-					reducerErrs[r] = fmt.Errorf("reducer %d: bucket from map task %d: %w", r, task, err)
-					return
-				}
-				if tr != nil {
-					recvBytes[r] += int64(len(payload))
-				}
-				parts = append(parts, pairs)
-			}
-		} else {
-			parts = make([][]Pair[K, V], len(perTask))
-			for t := range perTask {
-				parts[t] = perTask[t][r]
-				if tr != nil {
-					recvBytes[r] += bucketApproxSize(parts[t])
-				}
+		parts := make([][]Pair[K, V], len(perTask)) // task-ordered buckets of this reducer
+		for t := range perTask {
+			parts[t] = perTask[t][r]
+			if tr != nil {
+				recvBytes[r] += bucketApproxSize(parts[t])
 			}
 		}
 		groups := groupPairs(parts)
@@ -402,20 +338,12 @@ func Run[I any, K comparable, V any, O any](c *Cluster, job *Job[I, K, V, O], sp
 			recvDur[r] = elapsed() - recvStart[r]
 		}
 	})
-	for _, err := range reducerErrs {
-		if err != nil {
-			return nil, fmt.Errorf("job %q: %w", job.Name, err)
-		}
-	}
 	for r := 0; r < numReducers; r++ {
 		met.ShuffleRecords += shuffleRecs[r]
-		met.ShuffleRetries += shuffleRetries[r]
 		if tr != nil {
 			// Each recv leg carries its reducer's share of the simulated
-			// transfer, so the legs sum to SimulatedShuffle (exactly with
-			// the in-memory shuffle, minus framing overhead with a real
-			// Transport); the send legs carry bytes only, to avoid double
-			// counting.
+			// transfer, so the legs sum exactly to SimulatedShuffle; the
+			// send legs carry bytes only, to avoid double counting.
 			tr.Emit(Span{
 				Job: job.Name, Phase: PhaseShuffleRecv, Task: r,
 				Start: recvStart[r], Wall: recvDur[r],

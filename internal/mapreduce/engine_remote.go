@@ -20,13 +20,13 @@ import (
 // locks in.
 //
 // Differences from the in-process path are confined to genuine distribution
-// effects: task payloads travel serialized (gob, the Transport wire format),
-// and real worker failures surface as extra failed attempt spans — tagged
-// with the worker that died — ahead of the deterministic fault-model
+// effects: task payloads travel serialized (the tagged payload codec of
+// wire.go), and real worker failures surface as extra failed attempt spans —
+// tagged with the worker that died — ahead of the deterministic fault-model
 // attempts.
 func runRemote[I any, K comparable, V any, O any](
 	c *Cluster, job *Job[I, K, V, O], splits [][]I, numReducers int,
-	exec Executor, transport Transport, tr Tracer, met *Metrics,
+	exec Executor, tr Tracer, met *Metrics,
 	now func() time.Time, start time.Time,
 ) (*Result[O], error) {
 	elapsed := func() time.Duration { return now().Sub(start) }
@@ -61,28 +61,25 @@ func runRemote[I any, K comparable, V any, O any](
 	}
 
 	// ---- Direct shuffle plan (control plane only) ----
-	// When the executor can move buckets worker-to-worker and no explicit
-	// Transport was asked for, obtain a shuffle plan: the assignment of
-	// reducers to workers plus the peer endpoints. From here on the
-	// coordinator exchanges only this metadata; the bucket bytes themselves
-	// flow between workers.
+	// When the executor can move buckets worker-to-worker, obtain a shuffle
+	// plan: the assignment of reducers to workers plus the peer endpoints.
+	// From here on the coordinator exchanges only this metadata; the bucket
+	// bytes themselves flow between workers.
 	var plan *ShufflePlan
 	var ds DirectShuffler
-	if transport == nil {
-		if d, ok := exec.(DirectShuffler); ok {
-			if p := d.PlanShuffle(job.Name, numReducers); p != nil {
-				ds, plan = d, p
-				if logDebug {
-					slog.Debug("mapreduce direct shuffle planned", "job", job.Name,
-						"backend", exec.Name(), "session", p.Session, "reducers", numReducers)
-				}
+	if d, ok := exec.(DirectShuffler); ok {
+		if p := d.PlanShuffle(job.Name, numReducers); p != nil {
+			ds, plan = d, p
+			if logDebug {
+				slog.Debug("mapreduce direct shuffle planned", "job", job.Name,
+					"backend", exec.Name(), "session", p.Session, "reducers", numReducers)
 			}
 		}
 	}
 
 	// ---- Map phase (pipelined: each task's buckets ship as they exist) ----
 	type remoteMapState struct {
-		payloads                                 [][]byte // per-reducer payloads, retained without a transport
+		payloads                                 [][]byte // per-reducer payloads the coordinator retains
 		counters                                 TaskCounters
 		custom                                   map[string]*Histogram
 		worker                                   string
@@ -128,28 +125,16 @@ func runRemote[I any, K comparable, V any, O any](
 			st.mapDone = st.startOff + res.Counters.MapWall
 			st.combineDone = st.mapDone + res.Counters.CombineWall
 		}
-		if transport != nil {
-			for r, payload := range res.Buckets {
-				n, err := transport.Send(task, r, payload)
-				if err != nil {
-					taskErrs[task] = err
-					return
-				}
-				st.shuffleBytes += int64(n)
-				st.bucketBytes.Observe(int64(n))
-			}
-		} else {
-			// No transport: keep the payloads for the reduce phase and
-			// account the same approximate sizes the in-process engine
-			// would, so metrics agree across backends. Under a direct
-			// shuffle plan Buckets is sparse — nil for every bucket the
-			// worker already delivered to its peer — but the counters still
-			// describe all of them, so the accounting is unchanged.
-			st.payloads = res.Buckets
-			for _, n := range res.Counters.BucketSizes {
-				st.shuffleBytes += n
-				st.bucketBytes.Observe(n)
-			}
+		// Keep the payloads for the reduce phase and account the same
+		// approximate sizes the in-process engine would, so metrics agree
+		// across backends. Under a direct shuffle plan Buckets is sparse —
+		// nil for every bucket the worker already delivered to its peer —
+		// but the counters still describe all of them, so the accounting is
+		// unchanged.
+		st.payloads = res.Buckets
+		for _, n := range res.Counters.BucketSizes {
+			st.shuffleBytes += n
+			st.bucketBytes.Observe(n)
 		}
 		if tr != nil {
 			st.sendDone = elapsed()
@@ -339,8 +324,7 @@ func runRemote[I any, K comparable, V any, O any](
 		stampSpec(spec, PhaseReduce, r)
 		var res *TaskResult
 		var err error
-		switch {
-		case plan != nil:
+		if plan != nil {
 			// Direct path: the reducer's worker already holds the buckets its
 			// peers pushed. Ship only the stragglers the map phase had to
 			// retain (a send to a dead endpoint keeps the payload on the
@@ -355,6 +339,9 @@ func runRemote[I any, K comparable, V any, O any](
 			res, err = ds.ExecuteOn(plan.Workers[r], spec)
 			var lost *ShuffleLostError
 			if err != nil && errors.As(err, &lost) {
+				// One retry per reducer: the lost direct attempt is
+				// replayed once over the routed path.
+				shuffleRetries[r] = 1
 				res, err = directFallback(r, spec, lost)
 			}
 			if tr != nil {
@@ -364,23 +351,7 @@ func runRemote[I any, K comparable, V any, O any](
 					recvBytes[r] += states[t].counters.BucketSizes[r]
 				}
 			}
-		case transport != nil:
-			payloads, retries, rerr := receiveRetrying(transport, r, len(splits), c.ShuffleRetry, executorAlive(exec))
-			shuffleRetries[r] = retries
-			if rerr != nil {
-				reducerErrs[r] = fmt.Errorf("reducer %d: %w", r, rerr)
-				return
-			}
-			if tr != nil {
-				for _, p := range payloads {
-					recvBytes[r] += int64(len(p))
-				}
-				recvDur[r] = elapsed() - recvStart[r]
-				redStart[r] = elapsed()
-			}
-			spec.Buckets = payloads
-			res, err = exec.Execute(spec)
-		default:
+		} else {
 			payloads := make([][]byte, len(states))
 			for t := range states {
 				payloads[t] = states[t].payloads[r]

@@ -9,8 +9,7 @@ import (
 // process needs to reconstruct the job (Maker + Config), seed its RNGs
 // identically to an in-process run (Seed, Task, Phase), and the input bytes.
 // Payloads carry a one-byte format tag (binary codec or gob fallback, see
-// wire.go), so the wire format is shared with the Transport path and mixed
-// pools interoperate per payload.
+// wire.go).
 type TaskSpec struct {
 	// Job is the job name, used in task contexts and error messages.
 	Job string
@@ -59,8 +58,7 @@ type TaskSpec struct {
 	// under (best-effort: the spec is built before the pool knows which
 	// real attempt it serves, so it names the first attempt). All
 	// zero when tracing is off — workers then skip span collection
-	// entirely. On the binary wire path these ride a version-gated
-	// extension (wire version ≥ 2); gob carries them natively.
+	// entirely, and the spec's wire form omits the trace section.
 	Trace       string
 	TraceRun    string
 	TraceParent uint64
@@ -77,10 +75,9 @@ type TaskCounters struct {
 	Groups int64
 	// BucketSizes are the approximate (bucketApproxSize) per-reducer sizes
 	// of a map attempt's buckets — what the coordinator accounts as shuffle
-	// bytes when no Transport is installed, keeping metrics identical to an
-	// in-process run. The direct path keeps using these for Metrics, so
-	// ShuffleBytes stay byte-identical across backends; the wire bytes the
-	// worker edge actually carried travel in TaskResult.DirectBytes.
+	// bytes, keeping metrics identical to an in-process run on every
+	// shuffle path; the wire bytes the worker edge actually carried on the
+	// direct path travel in TaskResult.DirectBytes.
 	BucketSizes []int64
 	// MapWall and CombineWall are worker-measured stage durations (zero
 	// under a frozen clock).
@@ -106,8 +103,7 @@ type TaskAttempt struct {
 // TaskResult is the outcome of one successfully executed task attempt.
 type TaskResult struct {
 	// Buckets are a map attempt's per-reducer shuffle payloads
-	// (encodeBucket format, exactly what the Transport path ships). On the
-	// direct-shuffle path an entry is nil when the worker delivered it
+	// (encodeBucket format). On the direct-shuffle path an entry is nil when the worker delivered it
 	// straight to its reducer's endpoint; payloads whose delivery failed
 	// (dead endpoint) stay in place, so the coordinator retains them as the
 	// routed fallback for exactly those buckets.
@@ -135,14 +131,13 @@ type TaskResult struct {
 	FailedAttempts []TaskAttempt
 	// Spans are the worker-side measurements of this attempt (decode,
 	// exec, push, recv — see the Phase* constants), present only when the
-	// spec carried a trace context and the worker speaks wire version ≥ 2.
-	// The coordinator lifts them into child spans of the attempt span.
+	// spec carried a trace context. The coordinator lifts them into child
+	// spans of the attempt span.
 	Spans []WorkerSpan
 
 	// The remaining fields are coordinator-local attribution, filled in by
-	// the executor pool on the coordinator side and never wire-encoded
-	// (gob sends their zero values, the binary codec omits them): how long
-	// the task waited in the dispatch queue, when its frame was sent and
+	// the executor pool on the coordinator side and never wire-encoded: how
+	// long the task waited in the dispatch queue, when its frame was sent and
 	// its result received (coordinator clock, unix nanos), and the
 	// worker's estimated clock offset from the hello handshake.
 	QueueNanos       int64
@@ -250,6 +245,25 @@ type ShuffleLostError struct {
 func (e *ShuffleLostError) Error() string {
 	return fmt.Sprintf("mapreduce: reducer %d lost its direct shuffle on worker %s: %s",
 		e.Reducer, e.Worker, e.Reason)
+}
+
+// ReceiveTimeoutError reports that a direct-shuffle reduce attempt gave up
+// waiting for a map task's bucket: the sender died, hung, or was reassigned.
+// The worker runtime reports it as a lost shuffle, which the engine recovers
+// over the routed path.
+type ReceiveTimeoutError struct {
+	// Reducer is the waiting reduce task.
+	Reducer int
+	// Task is the lowest-numbered map task whose bucket never arrived.
+	Task int
+	// Timeout is the configured receive deadline that expired.
+	Timeout time.Duration
+}
+
+// Error renders the timeout, naming both ends of the missing transfer.
+func (e *ReceiveTimeoutError) Error() string {
+	return fmt.Sprintf("mapreduce: reducer %d timed out waiting for task %d (after %v)",
+		e.Reducer, e.Task, e.Timeout)
 }
 
 // InprocExecutor executes task specs in-process through the same registry

@@ -11,8 +11,8 @@ import (
 )
 
 // The tests here pin the executor seam's core contract: a job routed
-// through the portable path — (Maker, Config) registry, gob-serialized
-// splits and buckets, TaskSpec/TaskResult round-trips — produces output,
+// through the portable path — (Maker, Config) registry, serialized splits
+// and buckets, TaskSpec/TaskResult round-trips — produces output,
 // metrics and (under a frozen clock) span streams byte-identical to the
 // in-process engine.
 
@@ -108,27 +108,57 @@ func TestRemoteExecutorMatchesInproc(t *testing.T) {
 	}
 }
 
-func TestRemoteExecutorMatchesInprocWithTransport(t *testing.T) {
+// lossyShuffler is a loopback DirectShuffler whose planned worker for one
+// reducer always reports the direct shuffle lost.
+type lossyShuffler struct {
+	loopbackExecutor
+	lose int
+}
+
+func (l lossyShuffler) PlanShuffle(job string, numReducers int) *ShufflePlan {
+	plan := &ShufflePlan{Session: job + "#1", Workers: make([]string, numReducers), Endpoints: make([]string, numReducers)}
+	for r := range plan.Workers {
+		plan.Workers[r] = "w" + strconv.Itoa(r)
+	}
+	return plan
+}
+
+func (l lossyShuffler) ExecuteOn(worker string, spec *TaskSpec) (*TaskResult, error) {
+	if spec.Task == l.lose {
+		return nil, &ShuffleLostError{Worker: worker, Reducer: spec.Task, Reason: "peer bucket never arrived"}
+	}
+	routed := *spec
+	routed.Shuffle = nil
+	return ExecuteTask(&routed)
+}
+
+// TestShuffleRetriesSurfaceInMetrics: a reducer whose direct shuffle is lost
+// is replayed once over the routed path, counted in Metrics.ShuffleRetries,
+// and the job still matches the in-process run.
+func TestShuffleRetriesSurfaceInMetrics(t *testing.T) {
 	splits := remoteTestSplits()
-	inproc := remoteTestCluster()
-	inproc.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-	want, err := Run(inproc, portableJob(7), splits)
+	want, err := Run(remoteTestCluster(), portableJob(3), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote := remoteTestCluster()
-	remote.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-	remote.Executor = loopbackExecutor{}
-	got, err := Run(remote, portableJob(7), splits)
+	c := remoteTestCluster()
+	c.Executor = lossyShuffler{lose: 1}
+	got, err := Run(c, portableJob(3), splits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want.Output, got.Output) {
-		t.Errorf("remote output differs from in-process over a transport")
+		t.Errorf("output after a lost shuffle differs from in-process:\n in: %v\nout: %v", want.Output, got.Output)
 	}
-	if want.Metrics.ShuffleBytes != got.Metrics.ShuffleBytes {
-		t.Errorf("wire shuffle bytes: in-process %d, remote %d",
-			want.Metrics.ShuffleBytes, got.Metrics.ShuffleBytes)
+	if got.Metrics.ShuffleRetries != 1 {
+		t.Errorf("Metrics.ShuffleRetries = %d, want 1 (one lost reducer)", got.Metrics.ShuffleRetries)
+	}
+	if got.Metrics.ReduceAttempts != want.Metrics.ReduceAttempts+1 {
+		t.Errorf("ReduceAttempts = %d, want %d: the lost attempt counts once",
+			got.Metrics.ReduceAttempts, want.Metrics.ReduceAttempts+1)
+	}
+	if want.Metrics.ShuffleRetries != 0 {
+		t.Errorf("in-process ShuffleRetries = %d, want 0", want.Metrics.ShuffleRetries)
 	}
 }
 

@@ -32,8 +32,10 @@ type Metrics struct {
 	MapAttempts    int64
 	ReduceAttempts int64
 
-	// ShuffleRetries counts shuffle Receive attempts that were retried after
-	// a transient timeout (see Cluster.ShuffleRetry). Zero on a healthy run.
+	// ShuffleRetries counts reducers whose direct (worker-to-worker) shuffle
+	// was lost — a worker died or a peer bucket never arrived — and was
+	// replayed once over the coordinator-routed path. Zero on a healthy run
+	// and on every backend without a direct shuffle.
 	ShuffleRetries int64
 
 	// SimulatedMap includes per-task map and combine work scheduled over
@@ -53,8 +55,8 @@ type Metrics struct {
 	MapTaskNanos    Histogram
 	ReduceTaskNanos Histogram
 	// BucketBytes is a histogram of per-bucket shuffle sizes, one
-	// observation per (map task, reducer) pair: wire bytes with a Transport
-	// installed, approximated otherwise.
+	// observation per (map task, reducer) pair, at the approximate sizes
+	// every backend accounts identically.
 	BucketBytes Histogram
 
 	// Custom holds histograms observed by user code through

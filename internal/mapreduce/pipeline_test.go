@@ -7,8 +7,7 @@ import (
 )
 
 // TestPipelinedShuffleStress drives the pipelined shuffle hard — many map
-// tasks racing to hand buckets to many reducers, with and without a
-// transport — and checks the output is byte-identical to a fully serial
+// tasks racing to hand buckets to many reducers — and checks the output is byte-identical to a fully serial
 // (one-slot) run. Run under `go test -race ./internal/mapreduce/` this is
 // the main concurrency check for the map→shuffle→reduce pipeline.
 func TestPipelinedShuffleStress(t *testing.T) {
@@ -47,33 +46,18 @@ func TestPipelinedShuffleStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wide := func(name string, transport bool) {
-		c := &Cluster{Slaves: 8, SlotsPerSlave: 2, Cost: ZeroCostModel()}
-		if transport {
-			c.NewTransport = func() (Transport, error) { return NewMemTransport(), nil }
-		}
-		got, err := Run(c, mkJob(), splits)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Output, want.Output) {
-			t.Fatalf("%s: output differs from serial run", name)
-		}
-		if got.Metrics.ShuffleRecords != want.Metrics.ShuffleRecords {
-			t.Fatalf("%s: shuffle records %d, want %d", name,
-				got.Metrics.ShuffleRecords, want.Metrics.ShuffleRecords)
-		}
-		if transport {
-			// Transport runs count encoded wire bytes, not approxSize, so
-			// only sanity-check them.
-			if got.Metrics.ShuffleBytes <= 0 {
-				t.Fatalf("%s: no shuffle bytes accounted", name)
-			}
-		} else if got.Metrics.ShuffleBytes != want.Metrics.ShuffleBytes {
-			t.Fatalf("%s: shuffle bytes %d, want %d", name,
-				got.Metrics.ShuffleBytes, want.Metrics.ShuffleBytes)
-		}
+	c := &Cluster{Slaves: 8, SlotsPerSlave: 2, Cost: ZeroCostModel()}
+	got, err := Run(c, mkJob(), splits)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wide("in-memory", false)
-	wide("transport", true)
+	if !reflect.DeepEqual(got.Output, want.Output) {
+		t.Fatal("output differs from serial run")
+	}
+	if got.Metrics.ShuffleRecords != want.Metrics.ShuffleRecords {
+		t.Fatalf("shuffle records %d, want %d", got.Metrics.ShuffleRecords, want.Metrics.ShuffleRecords)
+	}
+	if got.Metrics.ShuffleBytes != want.Metrics.ShuffleBytes {
+		t.Fatalf("shuffle bytes %d, want %d", got.Metrics.ShuffleBytes, want.Metrics.ShuffleBytes)
+	}
 }

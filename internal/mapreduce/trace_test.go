@@ -297,52 +297,24 @@ func TestPrometheusExport(t *testing.T) {
 	}
 }
 
-// corruptTransport wraps a Transport and corrupts the payloads sent by one
-// map task, to prove decode failures name the originating task.
-type corruptTransport struct {
-	Transport
-	task int
-}
-
-func (c *corruptTransport) Send(task, reducer int, payload []byte) (int, error) {
-	if task == c.task && len(payload) > 0 {
-		payload = append([]byte("garbage:"), payload...)
-	}
-	return c.Transport.Send(task, reducer, payload)
-}
-
-// TestDecodeErrorNamesOriginatingTask is the transport bugfix regression: a
-// reducer that fails to decode a bucket must say which map task sent it.
+// TestDecodeErrorNamesOriginatingTask: a reduce attempt that fails to decode
+// a shuffle bucket must say which map task sent it. The spec goes through
+// the task core every backend runs, with garbage in map task 1's bucket.
 func TestDecodeErrorNamesOriginatingTask(t *testing.T) {
-	c := NewCluster(3)
-	c.NewTransport = func() (Transport, error) {
-		return &corruptTransport{Transport: NewMemTransport(), task: 1}, nil
+	good, err := encodeBucket([]Pair[int, int64]{{Key: 3, Value: 9}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := Run(c, wordCountJob(1, true), wcSplits)
+	_, err = ExecuteTask(&TaskSpec{
+		Job: "remote-modcount", Maker: "test-remote-modcount",
+		Phase: "reduce", Task: 2, NumReducers: 3, NumMapTasks: 3,
+		Buckets: [][]byte{good, append([]byte("garbage:"), good...), good},
+	})
 	if err == nil {
 		t.Fatal("corrupted shuffle payload went unnoticed")
 	}
-	if !strings.Contains(err.Error(), "map task 1") {
-		t.Fatalf("error does not name the originating map task: %v", err)
-	}
-}
-
-// TestMemTransportNamesMissingTasks is the other half of the bugfix: a
-// bucket shortfall lists exactly the absent map tasks.
-func TestMemTransportNamesMissingTasks(t *testing.T) {
-	tr := NewMemTransport()
-	for _, task := range []int{0, 2} {
-		if _, err := tr.Send(task, 7, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, err := tr.Receive(7, 4)
-	if err == nil {
-		t.Fatal("want shortfall error")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "reducer 7") || !strings.Contains(msg, "[1 3]") {
-		t.Fatalf("shortfall error does not name reducer and missing tasks: %v", err)
+	if !strings.Contains(err.Error(), "map task 1") || !strings.Contains(err.Error(), "reducer 2") {
+		t.Fatalf("error does not name the reducer and originating map task: %v", err)
 	}
 }
 

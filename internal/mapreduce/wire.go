@@ -1,44 +1,25 @@
 package mapreduce
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// This file is the engine's side of the binary wire codec (PR 6): payload
+// This file is the engine's side of the binary wire codec: payload
 // encodings for task splits, shuffle buckets and reduce outputs, plus the
 // TaskSpec/TaskResult frame bodies the worker protocol embeds. gob remains
-// as a tagged fallback — for types without a registered codec, and for the
-// `-wire gob` escape hatch — so every payload stays decodable by every peer
-// regardless of which side negotiated what.
+// only as a tagged payload fallback for element types without a registered
+// codec.
 
-// gobPayloads forces the gob fallback for every payload this process
-// encodes, and keeps frame connections in gob mode. It is the `-wire gob`
-// escape hatch (STRATA_WIRE=gob), for debugging codec suspicions in the
-// field and for A/B benchmarking the two formats on one binary.
-var gobPayloads atomic.Bool
-
-func init() {
-	if os.Getenv("STRATA_WIRE") == "gob" {
-		gobPayloads.Store(true)
-	}
-}
-
-// SetWireGob toggles the gob escape hatch at runtime (the CLI's -wire flag).
-func SetWireGob(v bool) { gobPayloads.Store(v) }
-
-// WireGob reports whether payloads are forced to gob.
-func WireGob() bool { return gobPayloads.Load() }
-
-// Every payload (split, bucket, output) starts with one tag byte, making it
-// self-describing: direct shuffle ships buckets worker-to-worker, where the
-// sender cannot know whether the consumer negotiated the binary format.
+// Every payload (split, bucket, output) starts with one tag byte naming its
+// encoding, so the decoder never guesses: registered types travel binary,
+// unregistered ones gob.
 const (
 	payloadGob    = 0x00
 	payloadBinary = 0x01
@@ -97,10 +78,10 @@ func lookupSliceCodec[T any]() (SliceCodec[T], bool) {
 
 // --- tagged slice payloads (splits, reduce outputs) -------------------------
 
-// encodeSlice serializes a []T payload: binary when a codec is registered
-// and the escape hatch is off, tagged gob otherwise.
+// encodeSlice serializes a []T payload: binary when a codec is registered,
+// tagged gob otherwise.
 func encodeSlice[T any](v []T) ([]byte, error) {
-	if c, ok := lookupSliceCodec[T](); ok && !gobPayloads.Load() {
+	if c, ok := lookupSliceCodec[T](); ok {
 		buf := make([]byte, 1, 64)
 		buf[0] = payloadBinary
 		return c.Append(buf, v), nil
@@ -112,8 +93,7 @@ func encodeSlice[T any](v []T) ([]byte, error) {
 	return append([]byte{payloadGob}, raw...), nil
 }
 
-// decodeSlice reverses encodeSlice, dispatching on the tag byte — the
-// decoder side never guesses, so mixed pools interoperate per payload.
+// decodeSlice reverses encodeSlice, dispatching on the tag byte.
 func decodeSlice[T any](payload []byte) ([]T, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("mapreduce: empty slice payload: %w", wire.ErrTruncated)
@@ -138,6 +118,69 @@ func decodeSlice[T any](payload []byte) ([]T, error) {
 		return v, r.Done()
 	default:
 		return nil, fmt.Errorf("mapreduce: unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
+	}
+}
+
+// --- shuffle buckets -------------------------------------------------------
+
+// encodeBucket serializes one map task's pairs for the wire: one payload
+// tag byte, then either the registered binary pair codec or gob. A bucket
+// payload is therefore never empty (the tag byte is always present), which
+// the direct shuffle relies on as its hole marker.
+func encodeBucket[K comparable, V any](pairs []Pair[K, V]) ([]byte, error) {
+	if c, ok := lookupBucketCodec[K, V](); ok {
+		buf := make([]byte, 1, 64)
+		buf[0] = payloadBinary
+		buf = wire.AppendUvarint(buf, uint64(len(pairs)))
+		for _, p := range pairs {
+			buf = c.AppendPair(buf, p)
+		}
+		return buf, nil
+	}
+	var buf bytes.Buffer
+	buf.WriteByte(payloadGob)
+	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
+		return nil, fmt.Errorf("mapreduce: encoding shuffle bucket: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBucket reverses encodeBucket, dispatching on the payload tag.
+func decodeBucket[K comparable, V any](payload []byte) ([]Pair[K, V], error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("mapreduce: empty shuffle bucket: %w", wire.ErrTruncated)
+	}
+	switch payload[0] {
+	case payloadGob:
+		var pairs []Pair[K, V]
+		if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&pairs); err != nil {
+			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+		}
+		return pairs, nil
+	case payloadBinary:
+		c, ok := lookupBucketCodec[K, V]()
+		if !ok {
+			return nil, fmt.Errorf("mapreduce: binary shuffle bucket for unregistered pair type %T", (Pair[K, V]{}))
+		}
+		r := wire.NewReader(payload[1:])
+		n := r.Count(1)
+		var pairs []Pair[K, V]
+		if n > 0 {
+			pairs = make([]Pair[K, V], 0, n)
+		}
+		for i := 0; i < n; i++ {
+			p, err := c.ReadPair(r)
+			if err != nil {
+				return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+			}
+			pairs = append(pairs, p)
+		}
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("mapreduce: decoding shuffle bucket: %w", err)
+		}
+		return pairs, nil
+	default:
+		return nil, fmt.Errorf("mapreduce: shuffle bucket with unknown payload tag %#x: %w", payload[0], wire.ErrCorrupt)
 	}
 }
 
@@ -194,10 +237,8 @@ const (
 	specHasShuffle  = 1 << 0
 	specCollectKeys = 1 << 1
 	specFrozen      = 1 << 2
-	// specHasTrace marks a trace-context extension after the shuffle
-	// section: trace id, run id, parent span id. Introduced with wire
-	// version 2 — the worker pool strips trace fields from specs bound for
-	// older binary peers, whose decoders reject trailing bytes.
+	// specHasTrace marks a trace-context section after the shuffle
+	// section: trace id, run id, parent span id. Untraced specs omit it.
 	specHasTrace = 1 << 3
 )
 
@@ -345,11 +386,10 @@ func AppendTaskResult(buf []byte, t *TaskResult) []byte {
 		buf = wire.AppendString(buf, a.Worker)
 		buf = wire.AppendString(buf, a.Err)
 	}
-	// Trace extension (wire version ≥ 2): worker spans ride as a trailing
-	// section. It is self-describing by position — the result body is
-	// always the last thing in its frame, so its absence is simply "no
-	// bytes left" — and a worker only emits it in reply to a spec that
-	// carried a trace context, which proves the coordinator decodes it.
+	// Worker spans ride as an optional trailing section. It is
+	// self-describing by position — the result body is always the last
+	// thing in its frame, so its absence is simply "no bytes left" — and a
+	// worker only emits it in reply to a spec that carried a trace context.
 	if len(t.Spans) > 0 {
 		buf = wire.AppendUvarint(buf, uint64(len(t.Spans)))
 		for _, ws := range t.Spans {

@@ -49,10 +49,9 @@ func sampleResult() *TaskResult {
 	}
 }
 
-// TestTraceWireCompat: the trace extensions are strictly additive. A spec
-// without a trace context encodes without the trace section and round-trips
-// to empty fields, and a result without worker spans has no trailing section
-// — the exact byte shapes a version-1 peer produces and expects.
+// TestTraceWireCompat: the trace sections are optional. A spec without a
+// trace context encodes without the trace section and round-trips to empty
+// fields, and a result without worker spans has no trailing section.
 func TestTraceWireCompat(t *testing.T) {
 	spec := sampleSpec()
 	spec.Trace, spec.TraceRun, spec.TraceParent = "", "", 0
@@ -162,9 +161,8 @@ func TestHistogramWireRoundTrip(t *testing.T) {
 }
 
 // TestBucketCodecRoundTripAndFallback: a registered pair codec round-trips
-// through encodeBucket/decodeBucket, unregistered types fall back to gob,
-// and the escape hatch forces gob even for registered types. All paths
-// produce identical pair values.
+// through encodeBucket/decodeBucket, and unregistered types fall back to
+// gob. Both paths produce identical pair values.
 func TestBucketCodecRoundTripAndFallback(t *testing.T) {
 	type key struct{ A, B int }
 	RegisterBucketCodec(BucketCodec[key, int64]{
@@ -210,21 +208,6 @@ func TestBucketCodecRoundTripAndFallback(t *testing.T) {
 		t.Errorf("gob bucket round trip: %v %+v", err, ogot)
 	}
 
-	// Escape hatch: registered types too must fall back to gob.
-	SetWireGob(true)
-	defer SetWireGob(false)
-	henc, err := encodeBucket(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if henc[0] != payloadGob {
-		t.Fatalf("escape hatch encoded with tag %#x, want gob", henc[0])
-	}
-	hgot, err := decodeBucket[key, int64](henc)
-	if err != nil || !reflect.DeepEqual(pairs, hgot) {
-		t.Errorf("escape-hatch bucket round trip: %v %+v", err, hgot)
-	}
-
 	// Empty buckets still carry their tag — never empty, the hole marker
 	// invariant the direct shuffle depends on.
 	empty, err := encodeBucket[key, int64](nil)
@@ -234,6 +217,32 @@ func TestBucketCodecRoundTripAndFallback(t *testing.T) {
 	egot, err := decodeBucket[key, int64](empty)
 	if err != nil || len(egot) != 0 {
 		t.Errorf("empty bucket round trip: %v %+v", err, egot)
+	}
+}
+
+func TestEncodeDecodeBucket(t *testing.T) {
+	pairs := []Pair[string, int64]{{"a", 1}, {"b", 2}}
+	payload, err := encodeBucket(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := decodeBucket[string, int64](payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(pairs, back) {
+		t.Fatalf("round trip %v", back)
+	}
+	if _, err := decodeBucket[string, int64]([]byte("garbage")); err == nil {
+		t.Fatal("want decode error")
+	}
+	empty, err := encodeBucket[string, int64](nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backEmpty, err := decodeBucket[string, int64](empty)
+	if err != nil || len(backEmpty) != 0 {
+		t.Fatalf("empty round trip: %v, %v", backEmpty, err)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // the factory wired — tracer, progress tracker, and above all the Executor
 // handle — alive across passes. For remote backends (subprocess/tcp worker
 // pools) the executor handle is the dialed, handshaken connection pool, so
-// reuse is the daemon's warm keep-alive: no re-dial, no re-handshake, no
-// codec re-negotiation per pass. Clusters are handed out exclusively (get/put
+// reuse is the daemon's warm keep-alive: no re-dial and no re-handshake per
+// pass. Clusters are handed out exclusively (get/put
 // pairs), so a pooled cluster is never shared between concurrent passes, and
 // the pool never closes an executor — it outlives every pass by design.
 type clusterPool struct {

@@ -6,7 +6,8 @@
 // The format is deliberately primitive: unsigned and zigzag varints for
 // integers, length-delimited byte strings, and nothing self-describing —
 // every payload's layout is fixed by the code on both ends and versioned by
-// the frame protocol's negotiated wire version (see internal/worker). That
+// the frame protocol's wire version, checked at the hello (see
+// internal/worker). That
 // is what buys the speed: no field names, no type descriptors, no interface
 // dispatch, and decoding that can return sub-slice views into the frame
 // buffer instead of copying payload bytes.

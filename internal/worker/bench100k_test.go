@@ -31,9 +31,7 @@ func bigPopulation(t testing.TB, n int) []dataset.Split {
 // BenchmarkEngine100k is BenchmarkEngine at pop=10^5: one full MR-SQE job
 // per op on each backend. At this volume the remote backends are dominated
 // by moving 100k tuples into map tasks, which is exactly what the binary
-// wire codec and columnar tuple batches target; A/B against the gob path by
-// rerunning with STRATA_WIRE=gob (env reaches subprocess children and the
-// in-process TCP workers alike).
+// wire codec and columnar tuple batches target.
 func BenchmarkEngine100k(b *testing.B) {
 	splits := bigPopulation(b, 100_000)
 	bench := func(b *testing.B, exec mapreduce.Executor) {

@@ -19,9 +19,9 @@
 // real failed attempts surface in the engine's trace as failed spans tagged
 // with the worker id.
 //
-// The protocol (protocol.go) is deliberately small: length-prefixed gob
+// The protocol (protocol.go) is deliberately small: length-prefixed binary
 // frames carrying hello, task, result, heartbeat and drain messages. Task
-// payloads reuse the engine's shuffle encoding, and workers execute specs
+// payloads reuse the engine's payload codec, and workers execute specs
 // through mapreduce.ExecuteTask, so a job's output — and, under a frozen
 // clock, its span file — is byte-identical no matter which backend ran it.
 package worker

@@ -1,33 +1,25 @@
 package worker
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/mapreduce"
 	"repro/internal/wire"
 )
 
-// The wire protocol: length-prefixed frames, each a single envelope. Two
-// frame encodings share the stream, discriminated by the top bit of the
-// length word (safe: maxFrameSize is 1<<30, so real lengths never set it):
-//
-//   - gob frames (bit clear) — the v0 format, one fresh gob encoder per
-//     frame. Hello frames always use it, carrying the worker's announced
-//     WireVersion; it remains the fallback for old peers and `-wire gob`.
-//   - binary frames (bit set) — the hand-rolled codec (wire.go), used once
-//     the coordinator has seen a hello with WireVersion ≥ 1. The worker
-//     flips to binary sends upon receiving its first binary frame, so
-//     negotiation costs no extra round trip.
-//
-// Both framings are self-contained per frame, so a coordinator can safely
-// resynchronize after dropping a worker mid-frame and the same framing
+// The wire protocol: length-prefixed frames, each a single envelope in the
+// binary codec of wire.go. The top bit of the length word marks the binary
+// format (safe: maxFrameSize is 1<<30, so real lengths never set it); a
+// frame without it — such as the gob hello of a pre-binary build — is
+// rejected with ErrNotBinaryFrame. Coordinator and workers are the same
+// binary, so the worker's hello only has to confirm wireVersion; there is
+// no negotiation. Frames are self-contained, so a coordinator can safely
+// resynchronize after dropping a worker mid-frame, and the same framing
 // serves pipes and sockets alike.
 
 // msgKind discriminates envelope frames.
@@ -50,10 +42,8 @@ const (
 // envelope is one protocol frame. Only the fields relevant to Kind are set.
 type envelope struct {
 	Kind msgKind
-	// WireVersion is the binary frame version the sender speaks (hello
-	// frames; see wireVersion). Old builds neither set nor read it — gob
-	// silently drops unknown fields, so their hellos decode here as
-	// version 0 and stay on gob frames.
+	// WireVersion is the frame format version the worker speaks (hello
+	// frames; see wireVersion). The coordinator rejects any other version.
 	WireVersion uint8
 	// ID is the worker id (hello frames).
 	ID string
@@ -65,9 +55,7 @@ type envelope struct {
 	// WallNanos is the worker's wall clock when it sent its hello, in unix
 	// nanoseconds. The coordinator subtracts its own receive time to get a
 	// clock-offset estimate, used to align worker-side trace spans to the
-	// coordinator's timeline. Zero from old builds (gob drops unknown
-	// fields) means "unknown". Hello-only, so it needs no binary-frame
-	// encoding — hellos always travel as gob.
+	// coordinator's timeline. Zero means "unknown". Hello frames only.
 	WallNanos int64
 	// Seq correlates a result with its task frame.
 	Seq uint64
@@ -112,6 +100,11 @@ func (e *FrameSizeError) Error() string {
 	return fmt.Sprintf("worker: frame of %d bytes exceeds limit %d", e.Size, e.Max)
 }
 
+// ErrNotBinaryFrame is the named error for a frame whose length word lacks
+// the binary flag: a peer speaking the retired gob frame format (a legacy
+// build's hello, say) or a corrupted stream.
+var ErrNotBinaryFrame = errors.New("worker: frame without the binary flag (legacy gob peer?)")
+
 // FrameTruncatedError is the named error for a stream that ended mid-frame:
 // the length prefix or payload was cut short. It wraps the underlying read
 // error (usually io.ErrUnexpectedEOF). A clean close between frames is NOT
@@ -139,11 +132,6 @@ type frameConn struct {
 	r  io.Reader
 	w  io.Writer
 	mu sync.Mutex // guards w
-	// binary switches writes to the binary frame codec. The coordinator
-	// sets it after a hello announcing wireVersion ≥ binaryMinVersion; the
-	// worker side sets it upon receiving its first binary frame. Atomic
-	// because the reader flips it while writers (heartbeat ticker) read it.
-	binary atomic.Bool
 	// measureDecode makes read record each frame's decode timing below.
 	// Only the worker's serve loop sets it (tracing lifts the numbers into
 	// a decode span when a traced spec asks for one); the coordinator's
@@ -163,31 +151,10 @@ func newFrameConn(r io.Reader, w io.Writer) *frameConn {
 }
 
 // write sends one frame: 4-byte big-endian payload length (top bit marking
-// the binary codec), then the payload. Hello frames always go as gob — they
-// carry the version negotiation itself.
-func (c *frameConn) write(env *envelope) error {
-	if c.binary.Load() && env.Kind != msgHello {
-		return c.writeBinary(env)
-	}
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(env); err != nil {
-		return fmt.Errorf("worker: encoding %v frame: %w", env.Kind, err)
-	}
-	frame := buf.Bytes()
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.w.Write(frame); err != nil {
-		return fmt.Errorf("worker: writing %v frame: %w", env.Kind, err)
-	}
-	return nil
-}
-
-// writeBinary sends one binary-codec frame from a pooled scratch buffer —
-// the buffer is fully flushed to the stream before it returns to the pool,
+// the binary codec), then the payload. It renders into a pooled scratch
+// buffer that is fully flushed to the stream before it returns to the pool,
 // so steady-state sends allocate nothing.
-func (c *frameConn) writeBinary(env *envelope) error {
+func (c *frameConn) write(env *envelope) error {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	buf = append(buf, 0, 0, 0, 0) // length placeholder
@@ -201,12 +168,12 @@ func (c *frameConn) writeBinary(env *envelope) error {
 	return nil
 }
 
-// read receives the next frame, auto-detecting its encoding from the length
-// word. It returns io.EOF unwrapped when the stream ends cleanly between
-// frames, so callers can distinguish a graceful close from a mid-frame cut
-// (*FrameTruncatedError). The payload buffer is freshly allocated per frame
-// and ownership passes to the decoded envelope — decoded specs/results hold
-// zero-copy views into it.
+// read receives the next frame. It returns io.EOF unwrapped when the stream
+// ends cleanly between frames, so callers can distinguish a graceful close
+// from a mid-frame cut (*FrameTruncatedError); a frame without the binary
+// flag yields ErrNotBinaryFrame. The payload buffer is freshly allocated per
+// frame and ownership passes to the decoded envelope — decoded
+// specs/results hold zero-copy views into it.
 func (c *frameConn) read() (*envelope, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(c.r, lenBuf[:]); err != nil {
@@ -225,33 +192,23 @@ func (c *frameConn) read() (*envelope, error) {
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return nil, &FrameTruncatedError{Want: int(n), Err: err}
 	}
+	if !isBinary {
+		return nil, ErrNotBinaryFrame
+	}
 	var t0 time.Time
 	if c.measureDecode {
 		t0 = time.Now()
 		c.decodeStart = t0.UnixNano()
 		c.decodeBytes = int64(n)
 	}
-	if isBinary {
-		env, err := decodeEnvelope(payload)
-		if err != nil {
-			return nil, fmt.Errorf("worker: decoding frame: %w", err)
-		}
-		if c.measureDecode {
-			c.decodeDur = time.Since(t0)
-		}
-		// The peer speaks binary, so answering in kind is always safe:
-		// sends on this connection switch over (no-op once flipped).
-		c.binary.Store(true)
-		return env, nil
-	}
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
+	env, err := decodeEnvelope(payload)
+	if err != nil {
 		return nil, fmt.Errorf("worker: decoding frame: %w", err)
 	}
 	if c.measureDecode {
 		c.decodeDur = time.Since(t0)
 	}
-	return &env, nil
+	return env, nil
 }
 
 // String names the message kind in errors and logs.

@@ -118,13 +118,16 @@ func TestDirectShuffleCrashFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, _ := runSQE(t, exec, splits)
+	got, met := runSQE(t, exec, splits)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("answer after mid-shuffle crash differs from in-process:\n in: %v\nout: %v", want, got)
 	}
 	if len(got.Strata[0]) != 7 || len(got.Strata[1]) != 9 {
 		t.Errorf("per-stratum fill %d/%d after crash, want 7/9",
 			len(got.Strata[0]), len(got.Strata[1]))
+	}
+	if met.ShuffleRetries < 1 {
+		t.Errorf("ShuffleRetries = %d after a lost direct shuffle, want >= 1", met.ShuffleRetries)
 	}
 }
 

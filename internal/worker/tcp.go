@@ -76,11 +76,8 @@ func (e *TCPExecutor) acceptLoop() {
 				conn.Close()
 				return
 			}
-			if h.version >= binaryMinVersion && !mapreduce.WireGob() {
-				fc.binary.Store(true)
-			}
 			slog.Debug("worker: registered", "worker", h.id,
-				"remote", conn.RemoteAddr(), "shuffle_addr", h.shuffleAddr, "wire_version", h.version)
+				"remote", conn.RemoteAddr(), "shuffle_addr", h.shuffleAddr)
 			e.pool.attach(h, fc, func() { conn.Close() })
 		}()
 	}
@@ -181,10 +178,6 @@ func (e *TCPExecutor) PlanShuffle(job string, numReducers int) *mapreduce.Shuffl
 	}
 	return plan
 }
-
-// LiveWorkers reports how many workers are attached; the engine's shuffle
-// retry policy uses it to stop retrying once every sender is gone.
-func (e *TCPExecutor) LiveWorkers() int { return e.pool.liveWorkers() }
 
 // ShuffleStats reports where this executor's shuffle bytes traveled. On a
 // healthy direct run RoutedBucketBytes is zero — the coordinator carried no

@@ -7,23 +7,23 @@ import (
 	"repro/internal/wire"
 )
 
-// wireVersion is the binary frame format this build speaks. Version 0 is
-// gob-only (pre-codec builds, and builds running with STRATA_WIRE=gob); a
-// worker announces its version in the (always-gob) hello frame, and the
-// coordinator switches the connection to binary frames only when the worker
-// announced ≥ binaryMinVersion — old peers on either side interoperate via
-// gob unchanged. Version 2 adds the trace-context extensions: the
-// specHasTrace section of TaskSpec frames, the trailing worker-span section
-// of TaskResult frames, and the WallNanos clock sample in hellos. The
-// extensions are backward compatible on the read side (flag- or
-// tail-gated), but a version-1 binary peer rejects unknown trailing bytes,
-// so the pool strips trace fields from specs bound for workers that
-// announced < traceMinVersion — those workers simply run untraced.
-const (
-	wireVersion      = 2
-	binaryMinVersion = 1
-	traceMinVersion  = 2
-)
+// wireVersion is the frame format this build speaks. A worker announces it
+// in its hello, and the coordinator accepts only its own version: both ends
+// are always the same strata binary, so a mismatch means a stale worker
+// build, which is refused with a *WireVersionError instead of guessed at.
+const wireVersion = 3
+
+// WireVersionError rejects a worker whose hello announced a frame format
+// version other than this build's wireVersion.
+type WireVersionError struct {
+	// Got is the version the worker announced; Want is wireVersion.
+	Got, Want uint8
+}
+
+// Error renders the mismatch, naming both versions.
+func (e *WireVersionError) Error() string {
+	return fmt.Sprintf("worker: hello announces wire version %d, this build speaks version %d", e.Got, e.Want)
+}
 
 // envelope flag bits in the binary frame encoding.
 const (
@@ -33,10 +33,10 @@ const (
 )
 
 // appendEnvelope appends the binary form of one frame body: kind byte, flag
-// byte, identity strings, seq, error text, then the spec/result bodies when
-// present. Hello frames never take this path (they are the negotiation
-// carrier and stay gob), but the codec handles every kind anyway so the
-// fuzz corpus covers the full envelope space.
+// byte, then — hello frames only — the wire version byte and the wall-clock
+// sample, then identity strings, seq, error text, and the spec/result
+// bodies when present. The version sits at a fixed offset so any build can
+// read it from any other build's hello.
 func appendEnvelope(buf []byte, env *envelope) []byte {
 	buf = append(buf, byte(env.Kind))
 	var flags byte
@@ -50,6 +50,10 @@ func appendEnvelope(buf []byte, env *envelope) []byte {
 		flags |= envHasResult
 	}
 	buf = append(buf, flags)
+	if env.Kind == msgHello {
+		buf = append(buf, env.WireVersion)
+		buf = wire.AppendVarint(buf, env.WallNanos)
+	}
 	buf = wire.AppendString(buf, env.ID)
 	buf = wire.AppendString(buf, env.ShuffleAddr)
 	buf = wire.AppendUvarint(buf, env.Seq)
@@ -66,12 +70,21 @@ func appendEnvelope(buf []byte, env *envelope) []byte {
 // decodeEnvelope decodes one binary frame body. Byte-slice fields of the
 // embedded spec/result alias payload, so the caller must hand over
 // ownership of the buffer (the read path allocates a fresh buffer per
-// frame for exactly this reason).
+// frame for exactly this reason). A hello announcing a version other than
+// wireVersion stops at the version byte with a *WireVersionError: the rest
+// of a foreign build's frame cannot be trusted to follow this layout.
 func decodeEnvelope(payload []byte) (*envelope, error) {
 	r := wire.NewReader(payload)
 	env := &envelope{}
 	env.Kind = msgKind(r.Byte())
 	flags := r.Byte()
+	if env.Kind == msgHello {
+		env.WireVersion = r.Byte()
+		if r.Err() == nil && env.WireVersion != wireVersion {
+			return nil, &WireVersionError{Got: env.WireVersion, Want: wireVersion}
+		}
+		env.WallNanos = r.Varint()
+	}
 	env.ShuffleLost = flags&envShuffleLost != 0
 	env.ID = r.String()
 	env.ShuffleAddr = r.String()

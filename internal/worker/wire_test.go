@@ -2,6 +2,7 @@ package worker
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -23,7 +24,8 @@ func sampleHistogram() *mapreduce.Histogram {
 // the table for round-trip tests and the fuzz seed corpus.
 func sampleEnvelopes() []*envelope {
 	return []*envelope{
-		{Kind: msgHello, ID: "tcp-1", ShuffleAddr: "127.0.0.1:4242", WireVersion: wireVersion},
+		{Kind: msgHello, ID: "tcp-1", ShuffleAddr: "127.0.0.1:4242", WireVersion: wireVersion,
+			WallNanos: 1700000000123456789},
 		{Kind: msgHeartbeat},
 		{Kind: msgDrain},
 		{Kind: msgTask, Seq: 7, Spec: &mapreduce.TaskSpec{
@@ -66,79 +68,48 @@ func sampleEnvelopes() []*envelope {
 }
 
 // TestEnvelopeBinaryRoundTrip: the binary codec must reproduce every
-// envelope kind exactly as a gob round trip does.
+// envelope kind exactly, hello version and clock sample included, through
+// the frameConn layer.
 func TestEnvelopeBinaryRoundTrip(t *testing.T) {
 	for _, env := range sampleEnvelopes() {
-		buf := appendEnvelope(nil, env)
-		got, err := decodeEnvelope(buf)
+		var buf bytes.Buffer
+		c := newFrameConn(&buf, &buf)
+		if err := c.write(env); err != nil {
+			t.Fatalf("%v frame: %v", env.Kind, err)
+		}
+		got, err := c.read()
 		if err != nil {
 			t.Fatalf("%v frame: %v", env.Kind, err)
 		}
-		// WireVersion travels only in the (gob) hello, not the binary body.
-		want := *env
-		want.WireVersion = 0
-		if !reflect.DeepEqual(&want, got) {
-			t.Errorf("%v frame round trip:\nwant %+v\n got %+v", env.Kind, &want, got)
+		if !reflect.DeepEqual(env, got) {
+			t.Errorf("%v frame round trip:\nwant %+v\n got %+v", env.Kind, env, got)
 		}
 	}
 }
 
-// TestEnvelopeBinaryMatchesGob cross-checks the two codecs through the
-// frameConn layer: the same envelope sent over a gob conn and a binary conn
-// must decode to the same value.
+// TestEnvelopeBinaryMatchesGob cross-checks the binary envelope codec
+// against a plain encoding/gob round trip, the reference for "preserves
+// every field": each envelope kind, hello included, must decode to the same
+// value either way.
 func TestEnvelopeBinaryMatchesGob(t *testing.T) {
 	for _, env := range sampleEnvelopes() {
-		if env.Kind == msgHello {
-			continue // hello always rides gob; nothing to cross-check
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+			t.Fatal(err)
 		}
-		decodeVia := func(binary bool) *envelope {
-			var buf bytes.Buffer
-			c := newFrameConn(&buf, &buf)
-			c.binary.Store(binary)
-			if err := c.write(env); err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.read()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got
+		var viaGob envelope
+		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
+			t.Fatal(err)
 		}
-		viaGob, viaBinary := decodeVia(false), decodeVia(true)
+		viaBinary, err := decodeEnvelope(appendEnvelope(nil, env))
+		if err != nil {
+			t.Fatalf("%v frame: %v", env.Kind, err)
+		}
 		// gob's nil/empty slice conflations are canonicalized by comparing
-		// through the binary side's rendering.
-		if !reflect.DeepEqual(appendEnvelope(nil, viaGob), appendEnvelope(nil, viaBinary)) {
-			t.Errorf("%v frame decodes differently:\ngob    %+v\nbinary %+v", env.Kind, viaGob, viaBinary)
+		// through the binary rendering.
+		if !bytes.Equal(appendEnvelope(nil, &viaGob), appendEnvelope(nil, viaBinary)) {
+			t.Errorf("%v frame decodes differently:\ngob    %+v\nbinary %+v", env.Kind, &viaGob, viaBinary)
 		}
-	}
-}
-
-// TestFrameConnNegotiation: a conn flips to binary sends after receiving a
-// binary frame, and never before.
-func TestFrameConnNegotiation(t *testing.T) {
-	var aToB, bToA bytes.Buffer
-	a := newFrameConn(&bToA, &aToB)
-	b := newFrameConn(&aToB, &bToA)
-
-	if err := b.write(&envelope{Kind: msgHeartbeat}); err != nil { // b still gob
-		t.Fatal(err)
-	}
-	if _, err := a.read(); err != nil {
-		t.Fatal(err)
-	}
-	if a.binary.Load() {
-		t.Fatal("gob frame flipped the receiver to binary")
-	}
-
-	a.binary.Store(true) // coordinator side: hello announced wireVersion
-	if err := a.write(&envelope{Kind: msgTask, Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.read(); err != nil {
-		t.Fatal(err)
-	}
-	if !b.binary.Load() {
-		t.Fatal("binary frame did not flip the receiver's send mode")
 	}
 }
 

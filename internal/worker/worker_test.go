@@ -189,13 +189,16 @@ func TestGoldenSpansAcrossBackends(t *testing.T) {
 		c := testCluster(exec)
 		tr := mapreduce.NewJSONLTracer(&buf)
 		c.Tracer = tr
-		ans, _, err := stratified.RunSQE(c, testQuery(), testSchema(), splits,
+		ans, met, err := stratified.RunSQE(c, testQuery(), testSchema(), splits,
 			stratified.Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if met.ShuffleRetries != 0 {
+			t.Errorf("ShuffleRetries = %d on a healthy run, want 0", met.ShuffleRetries)
 		}
 		return ans, buf.Bytes()
 	}
@@ -229,54 +232,6 @@ func TestGoldenSpansAcrossBackends(t *testing.T) {
 			t.Errorf("%s span file differs from in-process (after dropping worker ids):\n--- inproc ---\n%s\n--- %s ---\n%s",
 				b.name, golden, b.name, got)
 		}
-	}
-}
-
-// TestGoldenSpansMixedWirePool runs the golden-span contract on a mixed
-// pool: one worker forced to the gob wire format (STRATA_WIRE=gob, so it
-// announces wire version 0 and encodes gob payloads) alongside a
-// binary-codec worker. Answers, metrics and spans must stay byte-identical
-// to the in-process run — the payload format tag and per-connection
-// negotiation keep the two formats interoperable within one job.
-func TestGoldenSpansMixedWirePool(t *testing.T) {
-	splits := testPopulation(t)
-
-	run := func(exec mapreduce.Executor) (*query.Answer, mapreduce.Metrics, []byte) {
-		var buf bytes.Buffer
-		c := testCluster(exec)
-		tr := mapreduce.NewJSONLTracer(&buf)
-		c.Tracer = tr
-		ans, met, err := stratified.RunSQE(c, testQuery(), testSchema(), splits,
-			stratified.Options{Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return ans, met, buf.Bytes()
-	}
-
-	wantAns, wantMet, wantSpans := run(nil)
-
-	mixed := newSubprocess(t, 2, func(i int) []string {
-		if i == 0 {
-			return []string{"STRATA_WIRE=gob"}
-		}
-		return nil
-	})
-	defer mixed.Close()
-	gotAns, gotMet, gotSpans := run(mixed)
-
-	if !reflect.DeepEqual(wantAns, gotAns) {
-		t.Errorf("mixed-wire answer differs from in-process:\n in: %v\nout: %v", wantAns, gotAns)
-	}
-	if !reflect.DeepEqual(wantMet, gotMet) {
-		t.Errorf("mixed-wire metrics differ from in-process:\n in: %+v\nout: %+v", wantMet, gotMet)
-	}
-	if golden, got := stripWorker(t, wantSpans), stripWorker(t, gotSpans); !bytes.Equal(golden, got) {
-		t.Errorf("mixed-wire span file differs from in-process (after dropping worker ids):\n--- inproc ---\n%s\n--- mixed ---\n%s",
-			golden, got)
 	}
 }
 

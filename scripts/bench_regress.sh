@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Benchmark-regression smoke: run the allocation-tracked engine and shuffle
-# benchmarks once and fail if any benchmark's allocs/op regressed more than
-# 10% against scripts/bench_baseline.txt.
+# Benchmark-regression smoke: run the allocation-tracked engine benchmarks
+# once (their tcp legs carry the binary wire and bucket codecs) and fail if
+# any benchmark's allocs/op regressed more than 10% against
+# scripts/bench_baseline.txt.
 #
 # allocs/op is the one benchmark statistic that is deterministic enough to
 # gate CI on: ns/op on shared runners is noise, but the engine's allocation
@@ -22,7 +23,7 @@ run() { # pkg bench-regex
 }
 
 {
-  run ./internal/mapreduce/ 'BenchmarkEngine$|BenchmarkShuffleTransport$|BenchmarkShuffleVolume'
+  run ./internal/mapreduce/ 'BenchmarkEngine$'
   run ./internal/worker/ 'BenchmarkEngine/backend=inproc$|BenchmarkEngine/backend=tcp'
   run ./internal/serve/ 'BenchmarkServePass$'
 } >"$out"
